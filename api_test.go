@@ -1,4 +1,3 @@
-//lint:file-ignore SA1019 the equivalence tests deliberately exercise the deprecated pre-v2 constructors against their Open spellings
 package dagmutex_test
 
 import (
@@ -12,10 +11,8 @@ import (
 	"dagmutex"
 )
 
-// driveCluster runs a small sequential workload over every member and
-// returns the message count — the deterministic fingerprint the
-// deprecated-equivalence test compares.
-func driveCluster(t *testing.T, c *dagmutex.Cluster) int64 {
+// driveCluster runs a small sequential workload over every member.
+func driveCluster(t *testing.T, c *dagmutex.Cluster) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -34,7 +31,6 @@ func driveCluster(t *testing.T, c *dagmutex.Cluster) int64 {
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return c.Messages()
 }
 
 // TestOpenOptionMatrix exercises Open across the option matrix the v2
@@ -74,93 +70,6 @@ func TestOpenOptionMatrix(t *testing.T) {
 				driveCluster(t, c)
 			})
 		}
-	}
-}
-
-// TestOpenEquivalentToDeprecatedConstructors pins the migration
-// contract: every pre-v2 constructor must behave exactly like its Open
-// spelling — same workload, same deterministic message count.
-func TestOpenEquivalentToDeprecatedConstructors(t *testing.T) {
-	tree := func() *dagmutex.Tree { return dagmutex.Star(5) }
-	cases := []struct {
-		name       string
-		deprecated func() (*dagmutex.Cluster, error)
-		v2         func() (*dagmutex.Cluster, error)
-	}{
-		{
-			"NewCluster",
-			func() (*dagmutex.Cluster, error) { return dagmutex.NewCluster(tree(), 1) },
-			func() (*dagmutex.Cluster, error) { return dagmutex.Open(tree(), 1) },
-		},
-		{
-			"NewChaosCluster",
-			func() (*dagmutex.Cluster, error) {
-				return dagmutex.NewChaosCluster(tree(), 1, dagmutex.FailureConfig{})
-			},
-			func() (*dagmutex.Cluster, error) {
-				return dagmutex.Open(tree(), 1, dagmutex.WithFailureDetection(dagmutex.FailureConfig{}))
-			},
-		},
-		{
-			"NewClusterWithINIT",
-			func() (*dagmutex.Cluster, error) { return dagmutex.NewClusterWithINIT(tree(), 2) },
-			func() (*dagmutex.Cluster, error) { return dagmutex.Open(tree(), 2, dagmutex.WithINIT()) },
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dep, err := tc.deprecated()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dep.Close()
-			v2, err := tc.v2()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer v2.Close()
-			if got, want := driveCluster(t, v2), driveCluster(t, dep); got != want {
-				t.Fatalf("v2 messages = %d, deprecated = %d", got, want)
-			}
-		})
-	}
-}
-
-// TestOpenTCPEquivalentToNewTCPCluster pins the TCP pair: the same
-// workload completes over both spellings (frame counts are equal too —
-// the wiring is identical).
-func TestOpenTCPEquivalentToNewTCPCluster(t *testing.T) {
-	dep, err := dagmutex.NewTCPCluster(dagmutex.Line(3), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dep.Close()
-	v2, err := dagmutex.Open(dagmutex.Line(3), 2, dagmutex.WithTransport(dagmutex.TCP("")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for _, id := range []dagmutex.ID{1, 2, 3} {
-		for _, s := range []*dagmutex.Session{dep.Handle(id), v2.Session(id)} {
-			if _, err := s.Acquire(ctx); err != nil {
-				t.Fatalf("node %d: %v", id, err)
-			}
-			if err := s.Release(); err != nil {
-				t.Fatalf("node %d: %v", id, err)
-			}
-		}
-	}
-	if err := dep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := v2.Messages(), dep.Messages(); got != want {
-		t.Fatalf("v2 frames = %d, deprecated = %d", got, want)
 	}
 }
 
@@ -319,38 +228,9 @@ func TestOpenOptionValidation(t *testing.T) {
 }
 
 // TestOpenPeerEquivalentToNewTCPPeer drives a three-peer cluster built
-// with the v2 entry point exactly as the deprecated smoke test does.
+// with OpenPeer on its default listen address.
 func TestOpenPeerEquivalentToNewTCPPeer(t *testing.T) {
-	tree := dagmutex.Line(3)
-	peers := make([]*dagmutex.Peer, 0, 3)
-	addrs := make(map[dagmutex.ID]string, 3)
-	for _, id := range tree.IDs() {
-		p, err := dagmutex.OpenPeer(tree, 2, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		peers = append(peers, p)
-		addrs[id] = p.Addr()
-	}
-	for _, p := range peers {
-		p.Connect(addrs)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for _, p := range peers {
-		if _, err := p.Acquire(ctx); err != nil {
-			t.Fatalf("node %d acquire: %v", p.ID(), err)
-		}
-		if err := p.Release(); err != nil {
-			t.Fatalf("node %d release: %v", p.ID(), err)
-		}
-	}
-	for _, p := range peers {
-		if err := p.Err(); err != nil {
-			t.Fatalf("node %d: %v", p.ID(), err)
-		}
-	}
+	drivePeers(t)
 }
 
 // TestWithClockVirtualLeaseExpiry drives the whole lock-service stack

@@ -76,41 +76,11 @@ func TreeConfig(tree *Tree, holder ID) (Config, error) {
 // are needed, and Release leaves the section.
 type Session = transport.Session
 
-// Handle is Session's pre-v2 name.
-//
-// Deprecated: use Session.
-type Handle = transport.Session
-
 // Grant is one critical-section entry: the fencing generation the
 // extended PRIVILEGE token carried (strictly monotonic across the
 // cluster), the local wall-clock grant time, and — for remote client
 // grants — the lease deadline the member attached.
 type Grant = runtime.Grant
-
-// NewCluster starts a live in-process cluster on tree with the token at
-// holder.
-//
-// Deprecated: use Open(tree, holder). NewCluster is Open with no
-// options.
-func NewCluster(tree *Tree, holder ID) (*Cluster, error) {
-	return Open(tree, holder)
-}
-
-// NewChaosCluster starts a live in-process cluster with the failure
-// subsystem armed; see WithFailureDetection.
-//
-// Deprecated: use Open(tree, holder, WithFailureDetection(fcfg)).
-func NewChaosCluster(tree *Tree, holder ID, fcfg FailureConfig) (*Cluster, error) {
-	return Open(tree, holder, WithFailureDetection(fcfg))
-}
-
-// NewClusterWithINIT starts a live cluster whose nodes derive their edge
-// orientation at runtime by executing the thesis's Figure 5 INIT flood.
-//
-// Deprecated: use Open(tree, holder, WithINIT()).
-func NewClusterWithINIT(tree *Tree, holder ID) (*Cluster, error) {
-	return Open(tree, holder, WithINIT())
-}
 
 // LockService is a sharded multi-resource lock manager over the DAG-token
 // core: M independent token DAGs (one per shard), with resource keys
@@ -163,73 +133,6 @@ type LockTransport = lockservice.Transport
 // WithTransport(TCP(listen)) constructs one per member process (or use
 // lockservice.NewTCPTransport for manual wiring).
 type TCPLockTransport = lockservice.TCPTransport
-
-// NewLockService starts a sharded lock service over the in-process
-// substrate.
-//
-// Deprecated: use OpenLockService(cfg). NewLockService is
-// OpenLockService with no options.
-func NewLockService(cfg LockServiceConfig) (*LockService, error) {
-	return OpenLockService(cfg)
-}
-
-// NewLockServiceTCP starts this process's member of a distributed lock
-// service over real TCP; the returned transport exposes the bound
-// address (Addr) and Connect.
-//
-// Deprecated: use OpenLockService(cfg, WithTransport(TCP(listen)),
-// WithMember(member)) — the service itself now exposes Addr and
-// Connect, and TCP members additionally serve dialed non-member clients
-// (DialLockService), which this pre-v2 constructor does not.
-func NewLockServiceTCP(member ID, listen string, cfg LockServiceConfig) (*LockService, *TCPLockTransport, error) {
-	tr, err := lockservice.NewTCPTransport(member, listen)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.Transport = tr
-	svc, err := lockservice.New(cfg)
-	if err != nil {
-		tr.Close()
-		return nil, nil, err
-	}
-	return svc, tr, nil
-}
-
-// TCPPeer is Peer's pre-v2 name.
-//
-// Deprecated: use Peer.
-type TCPPeer = transport.TCPNode
-
-// NewTCPPeer starts the node with the given id listening on a fresh
-// loopback TCP port.
-//
-// Deprecated: use OpenPeer(tree, holder, id), which also accepts
-// WithTransport(TCP(listen)) for a fixed address and the failure
-// options.
-func NewTCPPeer(id ID, tree *Tree, holder ID) (*TCPPeer, error) {
-	return OpenPeer(tree, holder, id)
-}
-
-// TCPCluster wires one Peer per tree vertex over loopback inside a
-// single process: the TCP analogue of Cluster, for demos and tests.
-//
-// Deprecated: Open with WithTransport(TCP("")) returns the same wiring
-// behind the unified Cluster type. Real deployments run one Peer per
-// process via OpenPeer.
-type TCPCluster = transport.TCPCluster
-
-// NewTCPCluster starts a full DAG cluster over loopback TCP with the
-// token at holder.
-//
-// Deprecated: use Open(tree, holder, WithTransport(TCP(""))), which
-// returns the unified Cluster type (member addresses via Cluster.Addr).
-func NewTCPCluster(tree *Tree, holder ID) (*TCPCluster, error) {
-	cfg, err := TreeConfig(tree, holder)
-	if err != nil {
-		return nil, err
-	}
-	return transport.NewTCPCluster(core.Builder, cfg, transport.DAGCodec{})
-}
 
 // FailureConfig tunes the heartbeat failure detector: how often members
 // heartbeat each other and how long silence lasts before a peer is

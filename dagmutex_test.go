@@ -1,4 +1,3 @@
-//lint:file-ignore SA1019 these tests pin the behavior of the deprecated pre-v2 constructors, which must keep working until removal
 package dagmutex_test
 
 import (
@@ -14,7 +13,7 @@ import (
 
 func TestClusterLifecycle(t *testing.T) {
 	tree := dagmutex.Star(6)
-	c, err := dagmutex.NewCluster(tree, 1)
+	c, err := dagmutex.Open(tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +25,9 @@ func TestClusterLifecycle(t *testing.T) {
 	var inCS atomic.Int32
 	var wg sync.WaitGroup
 	for _, id := range tree.IDs() {
-		h := c.Handle(id)
+		h := c.Session(id)
 		if h == nil {
-			t.Fatalf("nil handle for node %d", id)
+			t.Fatalf("nil session for node %d", id)
 		}
 		wg.Add(1)
 		go func() {
@@ -58,10 +57,10 @@ func TestClusterLifecycle(t *testing.T) {
 }
 
 func TestNewClusterRejectsBadHolder(t *testing.T) {
-	if _, err := dagmutex.NewCluster(dagmutex.Star(3), 9); err == nil {
+	if _, err := dagmutex.Open(dagmutex.Star(3), 9); err == nil {
 		t.Fatal("holder outside the tree accepted")
 	}
-	if _, err := dagmutex.NewCluster(dagmutex.Star(3), dagmutex.Nil); err == nil {
+	if _, err := dagmutex.Open(dagmutex.Star(3), dagmutex.Nil); err == nil {
 		t.Fatal("nil holder accepted")
 	}
 }
@@ -131,12 +130,21 @@ func TestAlgorithmNamesListsDAGFirst(t *testing.T) {
 	}
 }
 
+// TestTCPPeerSmoke runs one peer per member, each bound to an explicit
+// listen address rather than OpenPeer's default.
 func TestTCPPeerSmoke(t *testing.T) {
+	drivePeers(t, dagmutex.WithTransport(dagmutex.TCP("127.0.0.1:0")))
+}
+
+// drivePeers opens a three-peer Line(3) cluster with opts, connects it,
+// and passes the critical section through every peer once.
+func drivePeers(t *testing.T, opts ...dagmutex.Option) {
+	t.Helper()
 	tree := dagmutex.Line(3)
-	peers := make([]*dagmutex.TCPPeer, 0, 3)
+	peers := make([]*dagmutex.Peer, 0, 3)
 	addrs := make(map[dagmutex.ID]string, 3)
 	for _, id := range tree.IDs() {
-		p, err := dagmutex.NewTCPPeer(id, tree, 2)
+		p, err := dagmutex.OpenPeer(tree, 2, id, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +174,7 @@ func TestTCPPeerSmoke(t *testing.T) {
 
 func TestClusterWithINITServesWorkload(t *testing.T) {
 	tree := dagmutex.KAry(10, 3)
-	c, err := dagmutex.NewClusterWithINIT(tree, 7)
+	c, err := dagmutex.Open(tree, 7, dagmutex.WithINIT())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +185,7 @@ func TestClusterWithINITServesWorkload(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for _, id := range tree.IDs() {
-		h := c.Handle(id)
+		h := c.Session(id)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -202,7 +210,7 @@ func TestClusterWithINITServesWorkload(t *testing.T) {
 }
 
 func TestClusterWithINITRejectsBadHolder(t *testing.T) {
-	if _, err := dagmutex.NewClusterWithINIT(dagmutex.Star(3), 9); err == nil {
+	if _, err := dagmutex.Open(dagmutex.Star(3), 9, dagmutex.WithINIT()); err == nil {
 		t.Fatal("holder outside tree accepted")
 	}
 }

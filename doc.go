@@ -152,10 +152,7 @@
 // Figure 5 flood (event-driven, bounded by WithStartupContext),
 // WithInjector installs a deterministic fault plan, and WithObserver
 // taps the recovery events. One member of a deployed cluster is
-// OpenPeer(tree, holder, id, ...); the deprecated constructors
-// (NewCluster, NewChaosCluster, NewClusterWithINIT, NewTCPCluster,
-// NewTCPPeer, NewLockService, NewLockServiceTCP) remain as thin
-// wrappers and compile unchanged.
+// OpenPeer(tree, holder, id, ...).
 //
 // For the deterministic simulator used by the experiments, see the
 // Simulate function and the cmd/dagbench tool.
@@ -325,9 +322,11 @@
 // rebalance ticks, proxy expiry, the local substrate's injected delay
 // lines. The default is the system clock. WithClock(NewVirtualClock())
 // swaps in a deterministic one: nothing expires or ticks until the
-// test calls VirtualClock.Advance, which fires the timers due, in
-// order, on the advancing goroutine — so the test asserts immediately
-// after Advance returns, with no sleeps and no polling:
+// test calls VirtualClock.Advance, which runs the callbacks due, in
+// order, on the advancing goroutine. Every timer is such a callback —
+// clocked code schedules work and nothing blocks on the clock — so the
+// test asserts immediately after Advance returns, with no sleeps and
+// no polling:
 //
 //	v := dagmutex.NewVirtualClock()
 //	svc, err := dagmutex.OpenLockService(

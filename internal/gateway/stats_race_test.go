@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,5 +86,48 @@ func TestClientStatsSnapshotConsistency(t *testing.T) {
 	}
 	if s.Shed() != 0 {
 		t.Fatalf("unexpected sheds: %+v", s)
+	}
+}
+
+// grantAllBackend grants every acquire at once with the next fence; it
+// isolates the listener's admission path from any protocol latency.
+type grantAllBackend struct{ fence atomic.Uint64 }
+
+func (b *grantAllBackend) Acquire(context.Context, string) (uint64, time.Time, error) {
+	return b.fence.Add(1), time.Time{}, nil
+}
+
+func (b *grantAllBackend) TryAcquire(string) (uint64, time.Time, bool, error) {
+	return b.fence.Add(1), time.Time{}, true, nil
+}
+
+func (b *grantAllBackend) Release(string, uint64) error { return nil }
+
+// TestSerializedClientAtDepthOneIsNeverShed pins the admission order: a
+// request's depth slot is returned before its reply is written, so a
+// client that waits for each answer before sending its next acquire is
+// never shed, even at the tightest bound (Depth<0 means one in flight).
+func TestSerializedClientAtDepthOneIsNeverShed(t *testing.T) {
+	g, err := transport.NewClientGatewayWith("", &grantAllBackend{}, transport.ClientQueue{Depth: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	conn, err := client.Dial(g.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < 5000; i++ {
+		h, err := conn.Acquire(context.Background(), "k")
+		if err != nil {
+			t.Fatalf("cycle %d: acquire: %v", i, err)
+		}
+		if err := conn.ReleaseHold(h); err != nil {
+			t.Fatalf("cycle %d: release: %v", i, err)
+		}
+	}
+	if s := g.Stats(); s.ShedDepth != 0 {
+		t.Fatalf("serialized client shed by depth: %+v", s)
 	}
 }

@@ -448,12 +448,6 @@ func (n *Node) With(fn func(mutex.Node) error) error {
 // Session returns the blocking application API over this node.
 func (n *Node) Session() *Session { return &Session{n: n} }
 
-// Handle is Session's former name, kept so embedders migrating to the
-// Session API keep compiling.
-//
-// Deprecated: use Session.
-func (n *Node) Handle() *Session { return n.Session() }
-
 // Close shuts the link down and waits for the actor loop to exit.
 // Envelopes the link already received are still delivered first.
 func (n *Node) Close() {
@@ -468,11 +462,6 @@ func (n *Node) Close() {
 type Session struct {
 	n *Node
 }
-
-// Handle is the deprecated former name of Session.
-//
-// Deprecated: use Session.
-type Handle = Session
 
 // ID returns the underlying node's identifier.
 func (s *Session) ID() mutex.ID { return s.n.id }

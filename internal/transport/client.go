@@ -525,7 +525,6 @@ func (cc *clientConn) startAcquire(wg *sync.WaitGroup, reqID uint64, resource st
 	go func() {
 		defer wg.Done()
 		defer cancel()
-		defer cc.done()
 		fence, expires, err := cc.backend.Acquire(ctx, resource)
 		cc.mu.Lock()
 		delete(cc.reqs, reqID)
@@ -534,20 +533,23 @@ func (cc *clientConn) startAcquire(wg *sync.WaitGroup, reqID uint64, resource st
 			cc.holds[resource] = fence
 		}
 		cc.mu.Unlock()
-		switch {
-		case err == nil && canceled:
+		if err == nil && canceled {
 			// The grant raced the cancel (or the disconnect): the client is
 			// not listening for it anymore, so hand it straight back.
 			_ = cc.backend.Release(resource, fence)
-			cc.respondErr(reqID, context.Canceled)
-		case err != nil:
-			cc.respondErr(reqID, err)
-		default:
-			var buf [16]byte
-			binary.BigEndian.PutUint64(buf[0:8], fence)
-			binary.BigEndian.PutUint64(buf[8:16], expiryNanos(expires))
-			cc.respond(RespGrant, reqID, buf[:])
+			err = context.Canceled
 		}
+		// Retire the admission before replying: a client that sends its
+		// next acquire as soon as this answer lands must find the slot free.
+		cc.done()
+		if err != nil {
+			cc.respondErr(reqID, err)
+			return
+		}
+		var buf [16]byte
+		binary.BigEndian.PutUint64(buf[0:8], fence)
+		binary.BigEndian.PutUint64(buf[8:16], expiryNanos(expires))
+		cc.respond(RespGrant, reqID, buf[:])
 	}()
 }
 
@@ -558,9 +560,9 @@ func (cc *clientConn) startTry(wg *sync.WaitGroup, reqID uint64, resource string
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer cc.done()
 		fence, expires, ok, err := cc.backend.TryAcquire(resource)
 		if err != nil {
+			cc.done()
 			cc.respondErr(reqID, err)
 			return
 		}
@@ -570,11 +572,13 @@ func (cc *clientConn) startTry(wg *sync.WaitGroup, reqID uint64, resource string
 				// Disconnected while the try was in flight: undo.
 				cc.mu.Unlock()
 				_ = cc.backend.Release(resource, fence)
+				cc.done()
 				return
 			}
 			cc.holds[resource] = fence
 			cc.mu.Unlock()
 		}
+		cc.done() // before the reply, as in startAcquire
 		var buf [17]byte
 		if ok {
 			buf[0] = 1

@@ -17,11 +17,6 @@ import (
 // by the shared runtime and identical over every link layer.
 type Session = runtime.Session
 
-// Handle is Session's deprecated former name.
-//
-// Deprecated: use Session.
-type Handle = runtime.Session
-
 // Local runs one protocol node per cluster member inside a single
 // process, connected by mailboxes. It is purely a link layer: the actor
 // loops, grant signaling and error capture all live in the shared runtime
@@ -52,15 +47,22 @@ type localNet struct {
 	inj   *failure.Injector
 	clk   vclock.Clock // never nil; delay-line deadlines run on it
 
-	delayMu   sync.Mutex
-	delays    map[linkPair]*mailbox[delayedEnvelope]
 	anyDelays atomic.Bool // fast-path guard: true once any delay line exists
-	wg        sync.WaitGroup
-	closed    atomic.Bool
-	stop      chan struct{} // closed on shutdown; wakes drainers mid-wait
+	delayMu   sync.Mutex
+	delays    map[linkPair]*delayLine // guarded by delayMu
+	closed    bool                    // guarded by delayMu; drops delayed traffic
 }
 
 type linkPair struct{ from, to mutex.ID }
+
+// delayLine is one link's delayed traffic, oldest first, with
+// non-decreasing deadlines. While the line is non-empty exactly one
+// callback is armed on the clock, for the head's deadline.
+type delayLine struct {
+	link  linkPair
+	q     []delayedEnvelope
+	timer vclock.Timer // nil until the line is first used
+}
 
 type delayedEnvelope struct {
 	e runtime.Envelope
@@ -83,95 +85,99 @@ func (net *localNet) send(from, to mutex.ID, m mutex.Message, count bool) error 
 		return nil // injected loss: the message vanishes, like the link it models
 	}
 	e := runtime.Envelope{From: from, Msg: m}
-	// A link with a delay line keeps routing through it even after the
-	// delay is cleared (deadline = now): a direct send bypassing queued
-	// delayed messages would break the per-link FIFO the protocol needs.
-	if d := net.inj.Delay(from, to); d > 0 || net.hasDelayLine(from, to) {
-		net.delayLine(from, to).put(delayedEnvelope{e: e, deliverAt: net.clk.Now().Add(d)})
-		if count {
-			net.msgs.Add(1)
-		}
-		return nil
+	var accepted bool
+	if d := net.inj.Delay(from, to); d > 0 || net.anyDelays.Load() {
+		accepted = net.sendDelayed(linkPair{from, to}, dst, e, d)
+	} else {
+		accepted = dst.put(e)
 	}
-	if dst.put(e) && count {
+	if accepted && count {
 		net.msgs.Add(1)
 	}
 	return nil
 }
 
-// hasDelayLine reports whether a delay line already exists for the
-// link. The atomic guard keeps the fail-free hot path lock-free.
-func (net *localNet) hasDelayLine(from, to mutex.ID) bool {
-	if !net.anyDelays.Load() {
+// sendDelayed queues e on its link's delay line, due d from now. A link
+// whose line still holds traffic keeps routing through it even after
+// the delay is cleared: a direct send overtaking queued messages would
+// break the per-link FIFO the protocol needs. Only an undelayed message
+// on an empty line goes straight to the mailbox.
+func (net *localNet) sendDelayed(link linkPair, dst *mailbox[runtime.Envelope], e runtime.Envelope, d time.Duration) bool {
+	net.delayMu.Lock()
+	defer net.delayMu.Unlock()
+	dl := net.delays[link]
+	if d <= 0 && (dl == nil || len(dl.q) == 0) {
+		return dst.put(e)
+	}
+	if net.closed {
 		return false
 	}
-	net.delayMu.Lock()
-	defer net.delayMu.Unlock()
-	_, ok := net.delays[linkPair{from, to}]
-	return ok
-}
-
-// delayLine returns the FIFO delay queue for one link, starting its
-// drainer on first use. A single drainer waiting on each message's own
-// deadline keeps delayed delivery FIFO per link (deadlines on one link
-// are non-decreasing while the configured delay is stable, and a
-// mid-flight delay change is clamped below) without serializing the
-// delays themselves: a burst of k messages all arrive ~d after their
-// sends, not at k*d.
-func (net *localNet) delayLine(from, to mutex.ID) *mailbox[delayedEnvelope] {
-	net.delayMu.Lock()
-	defer net.delayMu.Unlock()
-	key := linkPair{from, to}
-	if q, ok := net.delays[key]; ok {
-		return q
-	}
-	q := newMailbox[delayedEnvelope]()
-	if net.delays == nil {
-		net.delays = make(map[linkPair]*mailbox[delayedEnvelope])
-	}
-	net.delays[key] = q
-	net.anyDelays.Store(true)
-	net.wg.Add(1)
-	go func() {
-		defer net.wg.Done()
-		var lastDeadline time.Time
-		timer := net.clk.NewTimer(0)
-		defer timer.Stop()
-		for {
-			de, ok := q.get()
-			if !ok {
-				return
-			}
-			if de.deliverAt.Before(lastDeadline) {
-				de.deliverAt = lastDeadline // a shrunk delay must not reorder the link
-			}
-			lastDeadline = de.deliverAt
-			if wait := net.clk.Until(de.deliverAt); wait > 0 {
-				timer.Reset(wait)
-				select {
-				case <-net.stop:
-					return // closing: drop undelivered delayed traffic
-				case <-timer.C():
-				}
-			}
-			if net.closed.Load() || !net.inj.Allow(from, to) {
-				continue
-			}
-			net.boxes[to].put(de.e)
+	if dl == nil {
+		dl = &delayLine{link: link}
+		if net.delays == nil {
+			net.delays = make(map[linkPair]*delayLine)
 		}
-	}()
-	return q
+		net.delays[link] = dl
+		net.anyDelays.Store(true)
+	}
+	at := net.clk.Now().Add(d)
+	if n := len(dl.q); n > 0 && at.Before(dl.q[n-1].deliverAt) {
+		at = dl.q[n-1].deliverAt // a shrunk delay must not reorder the link
+	}
+	dl.q = append(dl.q, delayedEnvelope{e: e, deliverAt: at})
+	if len(dl.q) == 1 {
+		net.arm(dl)
+	}
+	return true
 }
 
-func (net *localNet) close() {
-	net.closed.Store(true)
-	close(net.stop)
-	net.delayMu.Lock()
-	for _, q := range net.delays {
-		q.close()
+// arm schedules the line's one callback for its head's deadline. Caller
+// holds delayMu and has checked the line is non-empty.
+func (net *localNet) arm(dl *delayLine) {
+	wait := net.clk.Until(dl.q[0].deliverAt)
+	if dl.timer == nil {
+		dl.timer = net.clk.AfterFunc(wait, func() { net.drain(dl) })
+		return
 	}
-	net.delayMu.Unlock()
-	net.wg.Wait()
+	dl.timer.Reset(wait)
+}
+
+// drain is a delay line's clock callback: it delivers every envelope
+// now due, in order, then re-arms for the new head. Delivery happens
+// under delayMu, so a direct send on the emptied line cannot overtake
+// the envelopes released here.
+func (net *localNet) drain(dl *delayLine) {
+	net.delayMu.Lock()
+	defer net.delayMu.Unlock()
+	if net.closed {
+		return
+	}
+	now := net.clk.Now()
+	for len(dl.q) > 0 && !dl.q[0].deliverAt.After(now) {
+		e := dl.q[0].e
+		dl.q[0] = delayedEnvelope{}
+		dl.q = dl.q[1:]
+		if net.inj.Allow(dl.link.from, dl.link.to) {
+			net.boxes[dl.link.to].put(e)
+		}
+	}
+	if len(dl.q) > 0 {
+		net.arm(dl)
+	}
+}
+
+// close drops every delayed envelope still in flight and withdraws the
+// lines' callbacks; one already running finds the net closed.
+func (net *localNet) close() {
+	net.delayMu.Lock()
+	defer net.delayMu.Unlock()
+	net.closed = true
+	for _, dl := range net.delays {
+		dl.q = nil
+		if dl.timer != nil {
+			dl.timer.Stop()
+		}
+	}
 }
 
 // localLink is one member's attachment to the substrate.
@@ -248,7 +254,6 @@ func NewLocal(b mutex.Builder, cfg mutex.Config, opts ...LocalOption) (*Local, e
 			boxes: make(map[mutex.ID]*mailbox[runtime.Envelope], len(cfg.IDs)),
 			inj:   o.inj,
 			clk:   o.clk,
-			stop:  make(chan struct{}),
 		},
 		nodes: make(map[mutex.ID]*runtime.Node, len(cfg.IDs)),
 		dets:  make(map[mutex.ID]*failure.Detector),
@@ -340,11 +345,6 @@ func (l *Local) Session(id mutex.ID) *Session {
 	}
 	return n.Session()
 }
-
-// Handle returns the session for node id.
-//
-// Deprecated: use Session.
-func (l *Local) Handle(id mutex.ID) *Session { return l.Session(id) }
 
 // Messages returns the total number of protocol messages sent so far
 // (detector heartbeats are not counted).

@@ -1175,11 +1175,6 @@ func (t *TCPNode) Connect(addrs map[mutex.ID]string) { t.host.Connect(addrs) }
 // Session returns the blocking application API over the hosted node.
 func (t *TCPNode) Session() *Session { return t.handle }
 
-// Handle returns the session for the hosted node.
-//
-// Deprecated: use Session.
-func (t *TCPNode) Handle() *Session { return t.handle }
-
 // Node exposes the hosted runtime node, for management operations.
 func (t *TCPNode) Node() *runtime.Node { return t.node }
 
@@ -1313,11 +1308,6 @@ func (c *TCPCluster) Session(id mutex.ID) *Session {
 	}
 	return n.Session()
 }
-
-// Handle returns the session for member id.
-//
-// Deprecated: use Session.
-func (c *TCPCluster) Handle(id mutex.ID) *Session { return c.Session(id) }
 
 // Addr returns member id's listen address (for dagmutex.Dial), or "" for
 // an unknown id.

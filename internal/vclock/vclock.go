@@ -1,17 +1,21 @@
-// Package vclock abstracts time for every layer that sleeps, ticks or
+// Package vclock abstracts time for every layer that schedules or
 // stamps: a Clock interface with two implementations. Real delegates to
 // package time and is what production code runs on; Virtual is a
 // deterministic fake whose time advances only when the test or harness
-// says so, built on internal/sim's event scheduler (one tick = one
-// nanosecond), so simulated hours of lease churn and heartbeat traffic
-// complete in milliseconds of wall clock.
+// says so, built on the shared internal/sched event queue (one tick =
+// one nanosecond), so simulated hours of lease churn and heartbeat
+// traffic complete in milliseconds of wall clock.
 //
-// The repository's subsystems take a Clock where they used to call
-// time.Now / time.NewTimer directly — the lock service's lease sweeper,
-// the failure detector's heartbeat loop, the runtime proxy's expiry
-// timers, the gateway's reconnect backoff, the Local transport's delay
-// lines — threaded from the facade's WithClock option. A nil Clock
-// everywhere means Real, so existing callers are untouched.
+// The rule every clocked subsystem follows: it schedules callbacks and
+// nothing blocks on the clock. The lock service's lease sweeper and
+// rebalance ticker, the failure detector's heartbeat, the runtime
+// proxy's expiry, the Local transport's delay lines and every simulation
+// harness event are AfterFunc callbacks (a periodic loop is a callback
+// that re-arms its own Timer), and the gateway's backoff only compares
+// deadlines with Now. So a Virtual clock never has to know which
+// goroutines are waiting on it: advancing time is running the due
+// callbacks in order. The Clock is threaded from the facade's WithClock
+// option; a nil Clock everywhere means Real.
 package vclock
 
 import "time"
@@ -25,40 +29,21 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 	// Until returns t.Sub(Now()).
 	Until(t time.Time) time.Duration
-	// Sleep blocks the calling goroutine for d of this clock's time.
-	// On a Virtual clock only goroutines registered with Go (or
-	// otherwise accounted for) may Sleep; see Virtual.
-	Sleep(d time.Duration)
-	// After returns a channel that receives the clock's time once, d
-	// from now.
-	After(d time.Duration) <-chan time.Time
-	// NewTimer returns a timer that fires once, d from now.
-	NewTimer(d time.Duration) Timer
-	// NewTicker returns a ticker firing every d. d must be positive.
-	NewTicker(d time.Duration) Ticker
 	// AfterFunc schedules fn to run once, d from now, and returns a
-	// Timer whose Stop/Reset control the scheduling (its C is nil). On a
-	// Virtual clock fn runs on the goroutine advancing time; on Real it
-	// runs on its own goroutine, exactly like time.AfterFunc.
+	// Timer whose Stop/Reset control the scheduling. On a Virtual clock
+	// fn runs on the goroutine advancing time; on Real it runs on its
+	// own goroutine, exactly like time.AfterFunc.
 	AfterFunc(d time.Duration, fn func()) Timer
 }
 
-// Timer is the clock-agnostic *time.Timer: C fires at most once per
-// arming; Stop and Reset follow time.Timer's contracts.
+// Timer controls one AfterFunc callback; Stop and Reset follow
+// time.Timer's contracts.
 type Timer interface {
-	C() <-chan time.Time
-	// Stop withdraws the timer, reporting whether it was still armed.
+	// Stop withdraws the callback, reporting whether it was still armed.
 	Stop() bool
-	// Reset re-arms the timer for d from now, reporting whether it was
-	// still armed. Like time.Timer.Reset, callers that care about a
-	// pending C value must have drained it.
+	// Reset re-arms the callback for d from now, reporting whether it
+	// was still armed.
 	Reset(d time.Duration) bool
-}
-
-// Ticker is the clock-agnostic *time.Ticker.
-type Ticker interface {
-	C() <-chan time.Time
-	Stop()
 }
 
 // Real is the production clock: every method delegates to package time.
@@ -79,27 +64,8 @@ func Or(c Clock) Clock {
 	return c
 }
 
-func (Real) Now() time.Time                         { return time.Now() }
-func (Real) Since(t time.Time) time.Duration        { return time.Since(t) }
-func (Real) Until(t time.Time) time.Duration        { return time.Until(t) }
-func (Real) Sleep(d time.Duration)                  { time.Sleep(d) }
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (Real) Now() time.Time                  { return time.Now() }
+func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
+func (Real) Until(t time.Time) time.Duration { return time.Until(t) }
 
-func (Real) NewTimer(d time.Duration) Timer { return realTimer{t: time.NewTimer(d)} }
-
-func (Real) NewTicker(d time.Duration) Ticker { return realTicker{t: time.NewTicker(d)} }
-
-func (Real) AfterFunc(d time.Duration, fn func()) Timer {
-	return realTimer{t: time.AfterFunc(d, fn)}
-}
-
-type realTimer struct{ t *time.Timer }
-
-func (r realTimer) C() <-chan time.Time        { return r.t.C }
-func (r realTimer) Stop() bool                 { return r.t.Stop() }
-func (r realTimer) Reset(d time.Duration) bool { return r.t.Reset(d) }
-
-type realTicker struct{ t *time.Ticker }
-
-func (r realTicker) C() <-chan time.Time { return r.t.C }
-func (r realTicker) Stop()               { r.t.Stop() }
+func (Real) AfterFunc(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }

@@ -1,58 +1,34 @@
 package vclock
 
 import (
-	"fmt"
-	goruntime "runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dagmutex/internal/sched"
 )
 
 // Virtual is the deterministic clock: time is a number that moves only
-// when Advance, Step or Run says so, and everything scheduled on the
-// clock (timers, tickers, AfterFunc chains, Sleeps) fires as ordered
-// events on the goroutine doing the advancing. The event queue is
-// internal/sim's scheduler with one tick per nanosecond — the discrete
-// event core and the wall-clock surface are the same machine.
+// when Advance says so, and every AfterFunc callback due in the window
+// runs, in order, on the goroutine doing the advancing. The event queue
+// is internal/sched's scheduler with one tick per nanosecond.
 //
-// Ordering is total and reproducible: events fire in (time, scheduling
-// order) — two timers due at the same instant fire in the order they
+// Ordering is total and reproducible: callbacks run in (time, scheduling
+// order) — two callbacks due at the same instant run in the order they
 // were armed, every run.
 //
-// Concurrency model. The clock itself is safe for concurrent use (any
-// goroutine may read Now or arm timers), but virtual time advances
-// single-threadedly: exactly one goroutine — the test, or the sim
-// harness loop — calls Advance/Step/Run, and event callbacks run
-// synchronously on it. Goroutines that park on virtual time (Sleep, a
-// timer channel) register with Go so the clock can account for them:
-// between events the advancing goroutine settles, yielding until every
-// registered worker is parked again (the runnable-goroutine accounting
-// that keeps "advance one heartbeat" from racing the goroutine the
-// previous event woke). A goroutine that was not registered may still
-// use the clock; it just is not waited for.
-//
-// The advancing goroutine must never Sleep on the clock it advances —
-// that is a self-deadlock, and the settle timeout turns it into a
-// panic with a diagnostic instead of a hang.
+// Concurrency model. The clock is safe for concurrent use (any goroutine
+// may read Now or arm and stop timers), but time advances
+// single-threadedly: exactly one goroutine — the test, or the harness
+// loop — calls Advance, and callbacks run synchronously on it. Nothing
+// parks on the clock, so Advance never waits for other goroutines; work
+// a callback hands to another goroutine (a mailbox put, a channel send)
+// runs there at its own pace, and a test that needs its effect waits on
+// that effect, not on the clock.
 type Virtual struct {
 	mu    sync.Mutex
 	sched *sched.Scheduler
 	base  time.Time
-
-	workers  atomic.Int64  // goroutines registered via Go
-	idle     atomic.Int64  // registered workers currently parked in Block/Sleep
-	activity atomic.Uint64 // bumped on scheduling and park transitions; settle stability check
 }
-
-// settleYields is how many scheduler yields one settle round spends
-// letting woken goroutines run before re-checking the idle condition.
-const settleYields = 16
-
-// settleTimeout bounds how long Advance waits for registered workers to
-// park again before declaring the configuration deadlocked.
-const settleTimeout = 10 * time.Second
 
 // NewVirtual returns a virtual clock at a fixed epoch (2000-01-01 UTC —
 // arbitrary, non-zero so lease deadlines survive IsZero checks).
@@ -87,186 +63,39 @@ func (v *Virtual) Elapsed() time.Duration {
 	return time.Duration(v.sched.Now())
 }
 
-// Pending reports the number of scheduled, not-yet-fired events.
-func (v *Virtual) Pending() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.sched.Pending()
-}
-
-// NextAt reports when the earliest pending event is due, or false when
-// nothing is scheduled — the harness's deadlock probe: workload not done
-// and nothing pending means the protocol lost a grant.
-func (v *Virtual) NextAt() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	t, ok := v.sched.NextAt()
-	if !ok {
-		return time.Time{}, false
-	}
-	return v.base.Add(time.Duration(t)), true
-}
-
-// schedule arms one event d from now and returns its handle. Caller
-// holds v.mu.
+// scheduleLocked arms one event d from now and returns its handle.
+// Caller holds v.mu.
 func (v *Virtual) scheduleLocked(d time.Duration, fn func()) *sched.Event {
 	if d < 0 {
 		d = 0
 	}
-	v.activity.Add(1)
 	return v.sched.AfterEvent(sched.Time(d), fn)
 }
 
-// Go runs fn on its own goroutine as a registered worker: while fn is
-// running, virtual time will not advance until the worker parks on the
-// clock (Sleep, or an explicit Block around a channel wait). The worker
-// is deregistered when fn returns.
-func (v *Virtual) Go(fn func()) {
-	v.workers.Add(1)
-	go func() {
-		defer func() {
-			v.workers.Add(-1)
-			v.activity.Add(1)
-		}()
-		fn()
-	}()
-}
-
-// Block marks the calling worker idle for the duration of fn, which must
-// do nothing but park (a channel receive, a select of channel receives):
-// any side effect before the park could race the event loop that Block
-// just told to proceed.
-func (v *Virtual) Block(fn func()) {
-	v.idle.Add(1)
-	v.activity.Add(1)
-	fn()
-	v.idle.Add(-1)
-	v.activity.Add(1)
-}
-
-// settle yields until every registered worker is parked and the system
-// has been stable across a full yield round — the "all goroutines idle"
-// gate before time moves.
-func (v *Virtual) settle() {
-	for i := 0; i < settleYields; i++ {
-		goruntime.Gosched()
-	}
-	if v.workers.Load() == 0 {
-		return
-	}
-	deadline := time.Now().Add(settleTimeout)
-	for {
-		gen := v.activity.Load()
-		if v.idle.Load() >= v.workers.Load() {
-			for i := 0; i < settleYields; i++ {
-				goruntime.Gosched()
-			}
-			if v.activity.Load() == gen && v.idle.Load() >= v.workers.Load() {
-				return
-			}
-		} else {
-			goruntime.Gosched()
-		}
-		if time.Now().After(deadline) {
-			panic(fmt.Sprintf("vclock: virtual time cannot advance: %d of %d registered workers still runnable after %v (a worker is blocked outside Block, or the advancing goroutine slept on its own clock)",
-				v.workers.Load()-v.idle.Load(), v.workers.Load(), settleTimeout))
-		}
-	}
-}
-
-// maxSimTime is "never" for bounded PopDue calls.
-const maxSimTime = sched.Time(1)<<62 - 1
-
-// Step settles, then fires the single earliest pending event (whatever
-// its time), advancing the clock to it. It reports false when nothing is
-// pending. The harness's unit of deterministic progress.
-func (v *Virtual) Step() bool {
-	v.settle()
-	v.mu.Lock()
-	fn, ok := v.sched.PopDue(maxSimTime)
-	v.mu.Unlock()
-	if !ok {
-		return false
-	}
-	fn()
-	return true
-}
-
-// Advance moves virtual time forward by d, firing every event due in the
-// window in deterministic order and settling between events so work each
-// event triggered lands before the next fires.
+// Advance moves virtual time forward by d, running every callback due in
+// the window in deterministic order; a callback may arm further
+// callbacks, and those due within the window run too.
 func (v *Virtual) Advance(d time.Duration) {
 	if d < 0 {
 		panic("vclock: negative advance")
 	}
 	v.mu.Lock()
 	target := v.sched.Now() + sched.Time(d)
-	v.mu.Unlock()
-	v.runUntil(target)
-}
-
-// Run fires events until the queue drains or horizon of virtual time has
-// passed, whichever comes first, and reports how many events fired. The
-// clock ends at min(horizon, last event) — it does not jump to the
-// horizon on drain, so a caller can Run again after scheduling more.
-func (v *Virtual) Run(horizon time.Duration) (fired uint64) {
-	v.mu.Lock()
-	target := v.sched.Now() + sched.Time(horizon)
-	before := v.sched.Processed()
-	v.mu.Unlock()
-	v.runUntil(target)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.sched.Processed() - before
-}
-
-func (v *Virtual) runUntil(target sched.Time) {
 	for {
-		v.settle()
-		v.mu.Lock()
 		fn, ok := v.sched.PopDue(target)
 		if !ok {
-			v.sched.AdvanceTo(target)
-			v.mu.Unlock()
-			v.settle()
-			return
+			break
 		}
-		v.mu.Unlock()
+		v.mu.Unlock() // callbacks re-enter the clock
 		fn()
+		v.mu.Lock()
 	}
-}
-
-// Sleep parks the calling goroutine for d of virtual time. Must not be
-// called from the advancing goroutine.
-func (v *Virtual) Sleep(d time.Duration) {
-	if d <= 0 {
-		goruntime.Gosched()
-		return
-	}
-	done := make(chan struct{})
-	v.mu.Lock()
-	v.scheduleLocked(d, func() { close(done) })
+	v.sched.AdvanceTo(target)
 	v.mu.Unlock()
-	v.Block(func() { <-done })
-}
-
-// After returns a channel receiving the virtual time once, d from now.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	return v.NewTimer(d).C()
-}
-
-// NewTimer returns a timer that fires once, d of virtual time from now.
-func (v *Virtual) NewTimer(d time.Duration) Timer {
-	t := &vtimer{v: v, ch: make(chan time.Time, 1)}
-	v.mu.Lock()
-	t.ev = v.scheduleLocked(d, t.fire)
-	v.mu.Unlock()
-	return t
 }
 
 // AfterFunc schedules fn to run once, d from now, on the advancing
-// goroutine. The returned Timer's Stop/Reset control the scheduling; its
-// C is nil, like time.AfterFunc's.
+// goroutine. The returned Timer's Stop/Reset control the scheduling.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	t := &vtimer{v: v, fn: fn}
 	v.mu.Lock()
@@ -275,48 +104,22 @@ func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	return t
 }
 
-// NewTicker returns a ticker firing every d of virtual time. Ticks a
-// receiver misses are dropped (the channel holds one), like
-// time.Ticker.
-func (v *Virtual) NewTicker(d time.Duration) Ticker {
-	if d <= 0 {
-		panic("vclock: non-positive ticker interval")
-	}
-	t := &vticker{v: v, ch: make(chan time.Time, 1), d: d}
-	v.mu.Lock()
-	t.ev = v.scheduleLocked(d, t.fire)
-	v.mu.Unlock()
-	return t
-}
-
-// vtimer is one virtual timer: a scheduled event handle plus either a
-// delivery channel or an AfterFunc callback.
+// vtimer is one virtual AfterFunc: a scheduled event handle plus the
+// callback it runs.
 type vtimer struct {
 	v  *Virtual
-	ch chan time.Time // cap 1; nil for AfterFunc timers
-	fn func()         // AfterFunc callback; nil for channel timers
-	ev *sched.Event   // guarded by v.mu; nil once fired or stopped
+	fn func()
+	ev *sched.Event // guarded by v.mu; nil once fired or stopped
 }
 
 // fire runs as the scheduler callback, on the advancing goroutine and
-// outside v.mu (PopDue returns the callback unlocked precisely so this
-// can re-enter the clock).
+// outside v.mu.
 func (t *vtimer) fire() {
 	t.v.mu.Lock()
 	t.ev = nil
-	now := t.v.nowLocked()
 	t.v.mu.Unlock()
-	if t.fn != nil {
-		t.fn()
-		return
-	}
-	select {
-	case t.ch <- now:
-	default:
-	}
+	t.fn()
 }
-
-func (t *vtimer) C() <-chan time.Time { return t.ch }
 
 func (t *vtimer) Stop() bool {
 	t.v.mu.Lock()
@@ -332,40 +135,4 @@ func (t *vtimer) Reset(d time.Duration) bool {
 	armed := t.ev != nil && t.ev.Cancel()
 	t.ev = t.v.scheduleLocked(d, t.fire)
 	return armed
-}
-
-// vticker is one virtual ticker: an event that re-arms itself each fire.
-type vticker struct {
-	v       *Virtual
-	ch      chan time.Time
-	d       time.Duration
-	ev      *sched.Event // guarded by v.mu
-	stopped bool         // guarded by v.mu
-}
-
-func (t *vticker) fire() {
-	t.v.mu.Lock()
-	if t.stopped {
-		t.v.mu.Unlock()
-		return
-	}
-	now := t.v.nowLocked()
-	t.ev = t.v.scheduleLocked(t.d, t.fire)
-	t.v.mu.Unlock()
-	select {
-	case t.ch <- now:
-	default:
-	}
-}
-
-func (t *vticker) C() <-chan time.Time { return t.ch }
-
-func (t *vticker) Stop() {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	t.stopped = true
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
-	}
 }

@@ -14,7 +14,7 @@ import (
 // TestLockServiceQuickstart exercises the re-exported lock-service API the
 // way the README shows it: named resources, sharded concurrency, stats.
 func TestLockServiceQuickstart(t *testing.T) {
-	svc, err := dagmutex.NewLockService(dagmutex.LockServiceConfig{Shards: 4, Nodes: 3})
+	svc, err := dagmutex.OpenLockService(dagmutex.LockServiceConfig{Shards: 4, Nodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestLockServiceQuickstart(t *testing.T) {
 // TestLockServiceDrivenByMultiResourceWorkload wires the workload driver
 // to the real service — the same pairing cmd/dagbench benchmarks.
 func TestLockServiceDrivenByMultiResourceWorkload(t *testing.T) {
-	svc, err := dagmutex.NewLockService(dagmutex.LockServiceConfig{Shards: 8, Nodes: 2})
+	svc, err := dagmutex.OpenLockService(dagmutex.LockServiceConfig{Shards: 8, Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestLockServiceDrivenByMultiResourceWorkload(t *testing.T) {
 
 // TestLockServiceClientsOnDistinctNodes locks through per-member clients.
 func TestLockServiceClientsOnDistinctNodes(t *testing.T) {
-	svc, err := dagmutex.NewLockService(dagmutex.LockServiceConfig{Shards: 2, Nodes: 4})
+	svc, err := dagmutex.OpenLockService(dagmutex.LockServiceConfig{Shards: 2, Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,15 @@ import (
 
 // Clock is the time source a cluster or lock service runs on: grant
 // timestamps, lease deadlines, sweeper cadence, heartbeat ticks and
-// delay-line deadlines all go through it. The default is the system
-// clock; NewVirtualClock returns a deterministic one for tests and
-// simulation. Attach with WithClock.
+// delay-line deadlines all go through it. It reads the time (Now, Since,
+// Until) and schedules callbacks (AfterFunc); nothing in the stack
+// blocks on it. The default is the system clock; NewVirtualClock
+// returns a deterministic one for tests and simulation. Attach with
+// WithClock.
 type Clock = vclock.Clock
 
 // VirtualClock is a deterministic, manually advanced Clock: time stands
-// still until Advance (or Step) fires the timers due, in order, on the
+// still until Advance runs the callbacks due, in order, on the
 // advancing goroutine. A cluster opened with WithClock(v) does all of
 // its timing — lease expiry, failure detection, rebalance ticks —
 // exactly when the test advances v, turning timing-dependent tests and
